@@ -1,6 +1,7 @@
 //! Reversible gates: generalized Toffoli and Fredkin.
 
 use std::fmt;
+use std::str::FromStr;
 
 /// Maximum circuit width supported by the gate representation.
 pub const MAX_WIDTH: usize = 32;
@@ -265,6 +266,52 @@ impl fmt::Display for Gate {
     }
 }
 
+impl FromStr for Gate {
+    type Err = String;
+
+    /// Parses the [`Display`](fmt::Display) form back into a gate:
+    /// `TOF3(a,c,b)`, `FRE3(c,a,b)`. Only the exact canonical text is
+    /// accepted (controls ascending, no repeats, size matching the wire
+    /// count), so `s.parse::<Gate>()?.to_string() == s` always holds.
+    fn from_str(s: &str) -> Result<Gate, String> {
+        let bad = || format!("malformed gate {s:?}");
+        let wire = |w: &str| -> Option<usize> {
+            let i = match w.as_bytes() {
+                [c @ b'a'..=b'z'] => usize::from(c - b'a'),
+                _ => w.strip_prefix('x')?.parse().ok()?,
+            };
+            (i < MAX_WIDTH).then_some(i)
+        };
+        let (kind, rest) = s.split_at_checked(3).ok_or_else(bad)?;
+        let (_, list) = rest
+            .strip_suffix(')')
+            .and_then(|r| r.split_once('('))
+            .ok_or_else(bad)?;
+        let wires: Vec<usize> = list
+            .split(',')
+            .map(wire)
+            .collect::<Option<_>>()
+            .ok_or_else(bad)?;
+        let mask = |ws: &[usize]| ws.iter().fold(0u32, |m, &w| m | 1 << w);
+        let gate = match (kind, wires.as_slice()) {
+            ("TOF", [controls @ .., t]) if mask(controls) >> t & 1 == 0 => {
+                Gate::toffoli_mask(mask(controls), *t)
+            }
+            ("FRE", [controls @ .., t0, t1])
+                if t0 != t1 && mask(controls) & mask(&[*t0, *t1]) == 0 =>
+            {
+                Gate::fredkin_mask(mask(controls), *t0, *t1)
+            }
+            _ => return Err(bad()),
+        };
+        if gate.to_string() == s {
+            Ok(gate)
+        } else {
+            Err(bad())
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,5 +437,34 @@ mod tests {
         assert_eq!(Gate::toffoli(&[2, 0], 1).to_string(), "TOF3(a,c,b)");
         assert_eq!(Gate::not(0).to_string(), "TOF1(a)");
         assert_eq!(Gate::fredkin(&[2], 0, 1).to_string(), "FRE3(c,a,b)");
+    }
+
+    #[test]
+    fn parse_inverts_display() {
+        for g in [
+            Gate::not(0),
+            Gate::toffoli(&[2, 0], 1),
+            Gate::toffoli(&[0, 27], 30),
+            Gate::swap(3, 1),
+            Gate::fredkin(&[2, 5], 0, 1),
+        ] {
+            assert_eq!(g.to_string().parse::<Gate>(), Ok(g));
+        }
+        for bad in [
+            "",
+            "TOF",
+            "TOF1()",
+            "TOF1(a",
+            "TOF2(a,a)",
+            "TOF3(c,a,b)",
+            "TOF2(a,b,c)",
+            "FRE2(a,a)",
+            "FRE3(a,b,a)",
+            "TOF1(x32)",
+            "NOT1(a)",
+            "TOF1(A)",
+        ] {
+            assert!(bad.parse::<Gate>().is_err(), "{bad:?} must not parse");
+        }
     }
 }

@@ -34,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use rmrls_baselines::{mmd_synthesize, MmdVariant};
-use rmrls_circuit::Circuit;
+use rmrls_circuit::{Circuit, Gate, MAX_WIDTH};
 use rmrls_core::{
     synthesize_with_observer, Observer, Pruning, StopReason, Synthesis, SynthesisOptions,
 };
@@ -165,12 +165,8 @@ pub struct BatchOptions {
 impl Default for BatchOptions {
     /// One worker, 1024-entry cache, canonicalization up to 8 wires,
     /// verification on, and a 200k-node search budget so a batch
-    /// without a deadline still terminates. Per-job search threads are
-    /// pinned to 1: batch parallelism comes from `workers`, and letting
-    /// every worker also auto-spawn `available_parallelism` search
-    /// threads would oversubscribe the machine quadratically. Callers
-    /// wanting intra-job parallelism set `synthesis.threads` (the CLI's
-    /// `--threads`) explicitly.
+    /// without a deadline still terminates. Batch parallelism comes
+    /// from `workers`: each job's search runs on its worker's thread.
     fn default() -> BatchOptions {
         BatchOptions {
             workers: 1,
@@ -184,9 +180,7 @@ impl Default for BatchOptions {
             shared_cache: None,
             store: None,
             store_provenance: "batch".to_string(),
-            synthesis: SynthesisOptions::new()
-                .with_max_nodes(200_000)
-                .with_threads(1),
+            synthesis: SynthesisOptions::new().with_max_nodes(200_000),
         }
     }
 }
@@ -490,11 +484,6 @@ pub(crate) struct RunCounters {
     anomaly_dumps: Arc<SyncCounter>,
     trace_records_dropped: Arc<SyncCounter>,
     trace_write_errors: Arc<SyncCounter>,
-    /// Spec-expansion memo hits across all searches (live-only series;
-    /// not part of [`BatchCounters`]).
-    spec_hits: Arc<SyncCounter>,
-    /// Spec-expansion memo misses across all searches (live-only).
-    spec_misses: Arc<SyncCounter>,
 }
 
 impl RunCounters {
@@ -527,8 +516,6 @@ impl RunCounters {
             anomaly_dumps: r.counter("anomaly_dumps"),
             trace_records_dropped: r.counter("trace_records_dropped"),
             trace_write_errors: r.counter("trace_write_errors"),
-            spec_hits: r.counter("spec_hits"),
-            spec_misses: r.counter("spec_misses"),
         }
     }
 }
@@ -669,6 +656,8 @@ pub fn run_batch(
 /// complete: their slots are pre-filled with
 /// [`Resumed`](JobOutcome::Resumed) outcomes, their counters are
 /// tallied from the journaled fields, and workers skip them entirely.
+/// A record that fails [`journaled_record_holds`] (a damaged circuit)
+/// is dropped instead, and its job re-runs.
 /// Cache counters intentionally start cold — a resumed run may show
 /// different `cache_hits`/`cache_misses` than an uninterrupted one,
 /// but never different results.
@@ -692,11 +681,16 @@ pub fn run_batch_resumable(
     }
     let slots: Vec<Mutex<Option<JobRecord>>> =
         admissions.iter().map(|_| Mutex::new(None)).collect();
+    let mut prefilled = vec![false; admissions.len()];
     if let Some(done) = resumed {
         for (&index, job) in done {
-            if index >= admissions.len() {
+            if !admissions
+                .get(index)
+                .is_some_and(|a| journaled_record_holds(a, &job.json))
+            {
                 continue;
             }
+            prefilled[index] = true;
             tally_resumed(job, &counters);
             let outcome = JobOutcome::Resumed {
                 json: job.json.clone(),
@@ -754,7 +748,7 @@ pub fn run_batch_resumable(
                     if index >= admissions.len() {
                         break;
                     }
-                    if resumed.is_some_and(|done| done.contains_key(&index)) {
+                    if prefilled[index] {
                         continue;
                     }
                     // One recorder per job, created inside the worker
@@ -1040,13 +1034,11 @@ fn relaxed_options(base: &SynthesisOptions) -> SynthesisOptions {
 /// One ladder tier: runs the search with the job's flight recorder
 /// attached (when tracing) and folds the tier's phase timings into the
 /// job profile whether or not it solved.
-#[allow(clippy::too_many_arguments)]
 fn run_search(
     spec: &MultiPprm,
     sopts: &SynthesisOptions,
     recorder: Option<&FlightRecorder>,
     profile: &mut PhaseProfile,
-    counters: &RunCounters,
     telemetry: JobTelemetry,
     sink: Option<&SinkFactory>,
 ) -> Result<Synthesis, Option<StopReason>> {
@@ -1081,25 +1073,16 @@ fn run_search(
             last_beat = now;
         }));
     }
-    let tally = |stats: &rmrls_core::SearchStats| {
-        counters.spec_hits.add(stats.spec_hits);
-        counters.spec_misses.add(stats.spec_misses);
-        if let Some((t, _)) = telemetry {
-            t.note_memory_sheds(stats.memory_sheds);
-        }
+    let result = synthesize_with_observer(spec, sopts, &mut observer);
+    let stats = match &result {
+        Ok(s) => &s.stats,
+        Err(e) => &e.stats,
     };
-    match synthesize_with_observer(spec, sopts, &mut observer) {
-        Ok(s) => {
-            tally(&s.stats);
-            profile.merge(&s.stats.profile);
-            Ok(s)
-        }
-        Err(e) => {
-            tally(&e.stats);
-            profile.merge(&e.stats.profile);
-            Err(e.stats.stop_reason)
-        }
+    if let Some((t, _)) = telemetry {
+        t.note_memory_sheds(stats.memory_sheds);
     }
+    profile.merge(&stats.profile);
+    result.map_err(|e| e.stats.stop_reason)
 }
 
 /// Records a fallback-ladder descent: a tier-escalation trace record
@@ -1136,12 +1119,11 @@ fn synthesize_ladder(
     fallback: bool,
     recorder: Option<&FlightRecorder>,
     profile: &mut PhaseProfile,
-    counters: &RunCounters,
     telemetry: JobTelemetry,
     sink: Option<&SinkFactory>,
     perm_for_mmd: impl FnOnce() -> Option<Permutation>,
 ) -> Result<(Circuit, SolveTier), Option<StopReason>> {
-    let tier1 = match run_search(spec, sopts, recorder, profile, counters, telemetry, sink) {
+    let tier1 = match run_search(spec, sopts, recorder, profile, telemetry, sink) {
         Ok(s) => return Ok((s.circuit, SolveTier::Rmrls)),
         Err(reason) => reason,
     };
@@ -1154,7 +1136,6 @@ fn synthesize_ladder(
         &relaxed_options(sopts),
         recorder,
         profile,
-        counters,
         telemetry,
         sink,
     ) {
@@ -1333,7 +1314,6 @@ fn execute_job(
                     opts.fallback,
                     recorder,
                     &mut profile,
-                    counters,
                     telemetry,
                     sink,
                     || {
@@ -1422,7 +1402,6 @@ fn execute_job(
                 opts.fallback,
                 recorder,
                 &mut profile,
-                counters,
                 telemetry,
                 sink,
                 || {
@@ -1487,6 +1466,43 @@ fn tally_verify(verified: Option<bool>, counters: &RunCounters) {
         Some(false) => counters.verify_failures.inc(),
         None => {}
     }
+}
+
+/// Whether a journaled job record can be reused as-is for `admission`.
+/// A `solved` record's circuit is re-simulated against the admitted
+/// spec, and its `gates` and `quantum_cost` fields must match the
+/// circuit, so a damaged gate or count fails. Records of other
+/// statuses carry no circuit and hold.
+pub fn journaled_record_holds(admission: &Admission, record: &Json) -> bool {
+    if record.get("status").and_then(Json::as_str) != Some("solved") {
+        return true;
+    }
+    let Admission::Job(job) = admission else {
+        return false;
+    };
+    let Some(circuit) = record_circuit(record) else {
+        return false;
+    };
+    record.get("gates").and_then(Json::as_u64) == Some(circuit.gate_count() as u64)
+        && record.get("quantum_cost").and_then(Json::as_u64) == Some(circuit.quantum_cost())
+        && match &job.spec {
+            SpecData::Perm(p) => verify_permutation(&circuit, p),
+            SpecData::Pprm(m) => verify_pprm(&circuit, m),
+        }
+}
+
+/// Rebuilds the circuit of a solved record from its `width` and
+/// `circuit` (gate display strings) fields.
+fn record_circuit(record: &Json) -> Option<Circuit> {
+    let width = usize::try_from(record.get("width")?.as_u64()?).ok()?;
+    let gates: Vec<Gate> = record
+        .get("circuit")?
+        .as_arr()?
+        .iter()
+        .map(|g| g.as_str()?.parse().ok())
+        .collect::<Option<_>>()?;
+    (width <= MAX_WIDTH && gates.iter().all(|g| g.min_width() <= width))
+        .then(|| Circuit::from_gates(width, gates))
 }
 
 fn verify_permutation(circuit: &Circuit, p: &Permutation) -> bool {

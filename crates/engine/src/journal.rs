@@ -82,20 +82,20 @@ pub fn manifest_hash(admissions: &[Admission]) -> u64 {
 
 /// Hash of the result-affecting batch configuration: deadline,
 /// canonicalization bound, verification, fallback, and the full
-/// synthesis option set. Worker count, cache size, the durable store,
-/// and the per-job search thread count are deliberately excluded —
-/// results are independent of them by construction, so a journal
-/// written with 8 workers (or `--threads 4`, or `--store`) resumes
-/// fine with 2 (or serially, or store-less).
+/// synthesis option set. Worker count, cache size and the durable store
+/// are deliberately excluded — results are independent of them by
+/// construction, so a journal written with 8 workers (or `--store`)
+/// resumes fine with 2 (or store-less).
 pub fn options_fingerprint(opts: &BatchOptions) -> u64 {
     let mut h = FNV_OFFSET;
     let deadline_ms = opts.deadline.map(|d| d.as_millis() as u64);
     fnv1a(&mut h, format!("{deadline_ms:?}").as_bytes());
     fnv1a(&mut h, &(opts.canon_limit as u64).to_le_bytes());
     fnv1a(&mut h, &[opts.verify as u8, opts.fallback as u8]);
-    let mut synthesis = opts.synthesis.clone();
-    synthesis.threads = 0;
-    fnv1a(&mut h, options_to_json(&synthesis).to_string().as_bytes());
+    fnv1a(
+        &mut h,
+        options_to_json(&opts.synthesis).to_string().as_bytes(),
+    );
     h
 }
 
@@ -414,15 +414,6 @@ mod tests {
             options_fingerprint(&base),
             options_fingerprint(&more_workers),
             "workers/cache do not affect results"
-        );
-        let more_threads = BatchOptions {
-            synthesis: base.synthesis.clone().with_threads(8),
-            ..BatchOptions::default()
-        };
-        assert_eq!(
-            options_fingerprint(&base),
-            options_fingerprint(&more_threads),
-            "search threads do not affect results"
         );
         let fallback = BatchOptions {
             fallback: true,

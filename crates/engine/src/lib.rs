@@ -55,8 +55,8 @@ pub mod telemetry;
 pub use cache::{CacheKey, CircuitCache, SharedCache};
 pub use canon::{canonical_form, relabel_circuit, uncanonicalize_circuit};
 pub use engine::{
-    run_batch, run_batch_resumable, BatchCounters, BatchOptions, BatchRun, JobOutcome, JobRecord,
-    SinkFactory, SolveTier, BATCH_SCHEMA_VERSION,
+    journaled_record_holds, run_batch, run_batch_resumable, BatchCounters, BatchOptions, BatchRun,
+    JobOutcome, JobRecord, SinkFactory, SolveTier, BATCH_SCHEMA_VERSION,
 };
 pub use fsutil::{write_atomic, write_atomic_bytes};
 pub use journal::{

@@ -5,8 +5,8 @@
 use std::sync::Mutex;
 
 use rmrls_engine::{
-    read_journal, run_batch_resumable, suite_admissions, BatchOptions, JournalHeader,
-    JournalWriter, ShutdownHandles,
+    journaled_record_holds, read_journal, run_batch_resumable, suite_admissions, BatchOptions,
+    JournalHeader, JournalWriter, ShutdownHandles,
 };
 
 fn scratch(name: &str) -> String {
@@ -130,4 +130,40 @@ fn resumed_records_serialize_without_index_but_journal_with() {
             "results form strips the index"
         );
     }
+}
+
+#[test]
+fn resume_reruns_a_job_whose_journaled_circuit_is_damaged() {
+    let jobs = suite_admissions("examples").unwrap();
+    let opts = BatchOptions::default();
+    let header = JournalHeader::new(&jobs, &opts);
+    let path = scratch("damaged.jsonl");
+    let writer = Mutex::new(JournalWriter::create(&path, &header).unwrap());
+    let reference = run_batch_resumable(&jobs, &opts, &ShutdownHandles::new(), Some(&writer), None);
+    drop(writer);
+
+    // Move one wire of ex4's first gate, mid-journal: the record still
+    // parses and its gate count and cost still match, so only
+    // re-simulation can tell it is damaged.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let damaged = text.replacen(r#""TOF2(c,a)""#, r#""TOF2(b,a)""#, 1);
+    assert_ne!(damaged, text);
+    std::fs::write(&path, damaged).unwrap();
+    let data = read_journal(&path).unwrap();
+    assert_eq!(data.completed.len(), 8, "the damaged line still parses");
+    for (i, job) in &data.completed {
+        let ex4 = jobs[*i].name() == "ex4";
+        assert_eq!(journaled_record_holds(&jobs[*i], &job.json), !ex4);
+    }
+
+    let resumed = run_batch_resumable(
+        &jobs,
+        &opts,
+        &ShutdownHandles::new(),
+        None,
+        Some(&data.completed),
+    );
+    assert_eq!(resumed.counters.jobs_resumed, 7, "the damaged job re-runs");
+    assert_eq!(resumed.counters.verified_ok, reference.counters.verified_ok);
+    assert_eq!(resumed.results_jsonl(), reference.results_jsonl());
 }

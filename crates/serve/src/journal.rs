@@ -13,13 +13,15 @@
 //! ahead), `completed` after its record is final. On restart, replay
 //! partitions journaled ids: submitted-without-completed requests are
 //! re-enqueued (the crash interrupted them), completed ones are
-//! restored read-only so `GET /requests/<id>` keeps answering. A torn
+//! restored read-only so `GET /requests/<id>` keeps answering. A
+//! completed record whose circuit no longer realizes its request's spec
+//! (re-simulated on replay) is damaged and re-enqueued too. A torn
 //! tail — half a line from a crash mid-append — is tolerated and
 //! ignored, matching the engine journal's contract.
 
 use std::sync::{Mutex, MutexGuard};
 
-use rmrls_engine::JournalWriter;
+use rmrls_engine::{journaled_record_holds, JournalWriter};
 use rmrls_obs::Json;
 
 use crate::request::SynthesisRequest;
@@ -43,7 +45,8 @@ fn header_line() -> String {
 #[derive(Default, Debug)]
 pub struct Replay {
     /// Requests journaled as submitted but never completed — the crash
-    /// interrupted them; re-enqueue in id order.
+    /// interrupted them — or completed with a damaged circuit;
+    /// re-enqueue in id order.
     pub pending: Vec<(u64, SynthesisRequest)>,
     /// Requests with a final record: `(id, request, cache_hit, record)`.
     pub completed: Vec<(u64, SynthesisRequest, bool, Json)>,
@@ -180,10 +183,10 @@ fn replay_file(path: &str) -> Result<Replay, String> {
             continue;
         };
         match completion {
-            Some((cache_hit, record)) => {
+            Some((cache_hit, record)) if journaled_record_holds(&request.admit(id), &record) => {
                 replay.completed.push((id, request, cache_hit, record));
             }
-            None => replay.pending.push((id, request)),
+            _ => replay.pending.push((id, request)),
         }
     }
     Ok(replay)
@@ -218,7 +221,11 @@ mod tests {
             assert!(replay.pending.is_empty() && replay.completed.is_empty());
             journal.append_submitted(1, &request("a")).unwrap();
             journal.append_submitted(2, &request("b")).unwrap();
-            let record = Json::Obj(vec![("status".into(), Json::str("solved"))]);
+            // The circuit of spec "1,0": a NOT on wire a.
+            let record = Json::parse(
+                r#"{"status":"solved","width":1,"gates":1,"quantum_cost":1,"circuit":["TOF1(a)"]}"#,
+            )
+            .unwrap();
             journal.append_completed(1, true, &record).unwrap();
         }
         let (_journal, replay) = RequestJournal::open(&path).unwrap();

@@ -402,3 +402,56 @@ fn drain_skips_queued_work_and_a_restart_replays_the_journal() {
     assert!(settled.pending.is_empty(), "{:?}", settled.pending);
     assert_eq!(settled.completed.len(), 3);
 }
+
+#[test]
+fn a_restart_reruns_a_completed_request_whose_circuit_was_damaged() {
+    let dir = scratch("damaged");
+    let journal_path = dir.join("requests.jsonl").to_string_lossy().into_owned();
+    let opts = ServeOptions {
+        journal_path: Some(journal_path.clone()),
+        ..ServeOptions::default()
+    };
+    let daemon = start(opts.clone());
+    let first = post(daemon.local_addr(), "/synthesize", &easy_body("a"));
+    assert_eq!(first.status, 200, "{}", first.body);
+    let circuit = first
+        .json()
+        .get("record")
+        .unwrap()
+        .get("circuit")
+        .unwrap()
+        .to_string();
+    daemon.drain();
+    daemon.wait();
+
+    // Move the journaled NOT gate to another wire: the record still
+    // parses and its gate count and cost still match.
+    let text = std::fs::read_to_string(&journal_path).unwrap();
+    assert!(text.contains(r#""TOF1(a)""#), "{text}");
+    std::fs::write(
+        &journal_path,
+        text.replacen(r#""TOF1(a)""#, r#""TOF1(b)""#, 1),
+    )
+    .unwrap();
+    let (handle, replay) = RequestJournal::open(&journal_path).expect("journal reopens");
+    assert!(replay.completed.is_empty(), "{:?}", replay.completed);
+    assert_eq!(replay.pending.len(), 1);
+    assert_eq!(replay.pending[0].0, 1);
+    drop(handle);
+
+    // The restart re-runs the damaged request to the original circuit.
+    let daemon2 = start(opts);
+    let addr2 = daemon2.local_addr();
+    let rerun = wait_for_state(addr2, 1, "done", 400);
+    let record = rerun.get("record").unwrap();
+    assert_eq!(record.get("circuit").unwrap().to_string(), circuit);
+    assert_eq!(record.get("verified"), Some(&Json::Bool(true)));
+    let metrics = get(addr2, "/metrics");
+    assert!(
+        metrics.body.contains("rmrls_requests_replayed 1"),
+        "{}",
+        metrics.body
+    );
+    daemon2.drain();
+    daemon2.wait();
+}
