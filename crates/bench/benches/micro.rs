@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks of the individual components: the ANF
 //! transform, PPRM substitution, a full RMRLS synthesis, the MMD
-//! baseline, and the optimal-table BFS.
+//! baseline, the optimal-table BFS, and wire-relabeling
+//! canonicalization.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use std::hint::black_box;
@@ -171,6 +172,30 @@ fn bench_optimal_bfs(c: &mut Criterion) {
     group.finish();
 }
 
+/// Canonical form under wire relabeling, the engine's per-request
+/// cache-key step. Random permutations usually lose to the running best
+/// within an entry or two per relabeling; the identity ties on every
+/// entry for every relabeling, which is the worst case.
+fn bench_canonical_form(c: &mut Criterion) {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use rmrls_engine::canonical_form;
+    let mut group = c.benchmark_group("canonical_form");
+    group.sample_size(10);
+    let mut rng = StdRng::seed_from_u64(23);
+    for n in [6usize, 7, 8] {
+        let spec = rmrls_spec::random_permutation(n, &mut rng);
+        group.bench_function(format!("random_n{n}"), |b| {
+            b.iter(|| black_box(canonical_form(black_box(&spec), 8)))
+        });
+    }
+    let identity = Permutation::identity(8);
+    group.bench_function("identity_n8", |b| {
+        b.iter(|| black_box(canonical_form(black_box(&identity), 8)))
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_anf,
@@ -182,6 +207,7 @@ criterion_group!(
     bench_fredkin_substitution,
     bench_decompose,
     bench_peephole,
-    bench_optimal_bfs
+    bench_optimal_bfs,
+    bench_canonical_form
 );
 criterion_main!(benches);

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 
 use rmrls_obs::{prometheus_text, Json, SyncCounter, SyncGauge, SyncHistogram, SyncRegistry};
 
-use crate::engine::{JobOutcome, SolveTier};
+use crate::engine::{JobOutcome, RunCounters, SolveTier};
 
 /// Cadence of the background gauge sampler.
 pub const SAMPLE_INTERVAL: Duration = Duration::from_millis(250);
@@ -381,7 +381,7 @@ impl BatchTelemetry {
     pub fn new(job_names: Vec<String>) -> BatchTelemetry {
         let registry = SyncRegistry::new();
         let latency = rmrls_obs::log2_bounds(1e-6, 128.0);
-        BatchTelemetry {
+        let board = BatchTelemetry {
             job_seconds: registry.histogram("job_seconds", &latency),
             expansion_batch_seconds: registry.histogram("expansion_batch_seconds", &latency),
             cache_lookup_seconds: registry.histogram("cache_lookup_seconds", &latency),
@@ -400,7 +400,12 @@ impl BatchTelemetry {
             backpressure: registry.gauge("admission_backpressure"),
             jobs: JobStatusRegistry::new(job_names),
             registry,
-        }
+        };
+        // Register the run counter families now, so a scrape that lands
+        // before `run_batch` takes its handles still lists them. The
+        // registry is get-or-create: the run later gets these counters.
+        RunCounters::new(Some(&board));
+        board
     }
 
     /// The shared metrics registry (the engine sources its run
@@ -655,5 +660,15 @@ mod tests {
         assert!(text.contains("# TYPE rmrls_cache_lookup_seconds histogram"));
         t.job_seconds.record(0.25);
         assert!(t.metrics_text().contains("rmrls_job_seconds_count 1\n"));
+    }
+
+    #[test]
+    fn metrics_text_has_run_counters_before_the_run_starts() {
+        let t = telemetry(1);
+        let text = t.metrics_text();
+        assert!(text.contains("# TYPE rmrls_cache_hits counter"), "{text}");
+        for name in ["cache_hits", "cache_misses", "jobs_completed", "store_hits"] {
+            assert!(text.contains(&format!("rmrls_{name} 0\n")), "{name}");
+        }
     }
 }
